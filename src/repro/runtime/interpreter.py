@@ -14,9 +14,9 @@ paper's only production-run instrumentation; its cost is what Fig. 10
 measures).
 
 This module is the hottest path in the codebase — every testrun of every
-schedule search funnels through :meth:`Execution.step`.  Opcodes dispatch
-through a class-level table of bound handlers rather than an ``if/elif``
-chain, the instruction array is cached on the execution, and
+schedule search funnels through it.  On the instruction path
+(:meth:`Execution.step`) opcodes dispatch through a class-level table of
+bound handlers rather than an ``if/elif`` chain, and
 :meth:`Execution.run` resolves hook and scheduler-observer methods once
 per run instead of per step.
 
@@ -29,8 +29,11 @@ loop for schedulers that support it: one scheduler pick drives a whole
 *chain* of superblocks (:meth:`Execution.run_chain`), with one batched
 effects summary, scheduler observation only at chain boundaries, and the
 region-stack bookkeeping skipped at every pc where it provably cannot
-fire.  Chains break exactly at the points where a scheduler's
-instruction-mode decision could differ from "continue the same thread":
+fire.  The chain executes per-instruction closures compiled once per
+program (:mod:`repro.runtime.closures`) rather than walking expression
+trees, since nothing on this path reads use/def records.  Chains break
+exactly at the points where a scheduler's instruction-mode decision
+could differ from "continue the same thread":
 before an ``ACQUIRE`` (the pick may block or redirect), immediately
 after any sync instruction (the observer must see it before the next
 pick), on thread exit or failure, and at the step budget.  Schedulers
@@ -67,6 +70,7 @@ from ..lang.errors import (
 )
 from ..lang.lower import Opcode
 from ..lang.values import NULL, Pointer
+from .closures import AT_ACQUIRE, REGION_WORK, closure_table_for
 from .events import (
     Failure,
     StepEffects,
@@ -154,6 +158,10 @@ class Execution:
         self.hooks = list(hooks)
         self.max_steps = max_steps
         self.blocks = blocks
+        #: compiled handlers of the block path and the per-pc facts the
+        #: pick loops read (built once per program, shared by every run)
+        self._closures = closure_table_for(compiled, analysis)
+        self._acquire_lock = self._closures.acquire_lock
         #: scheduler pick count (one per dispatch round-trip) and, for
         #: commit-style schedulers, block-commit call count — the
         #: benchmark's dispatch metrics; never fed back into execution
@@ -355,22 +363,34 @@ class Execution:
 
     # -- scheduling predicates ---------------------------------------------
 
+    def next_acquire(self, thread):
+        """The lock ``thread``'s next instruction acquires, or None."""
+        frames = thread.frames
+        return self._acquire_lock[frames[-1].pc] if frames else None
+
     def thread_runnable(self, thread):
         """READY and not blocked on a lock held by another thread."""
         if thread.status is not ThreadStatus.READY:
             return False
-        instr = self._instrs[thread.pc]
-        if instr.op is Opcode.ACQUIRE:
-            # shared predicate with the waits-for builder: held-by-self
-            # still runs (and faults as a re-acquire) rather than blocks
-            return self.locks.is_free_for(instr.lock, thread.name)
-        return True
+        lock = self.next_acquire(thread)
+        # shared predicate with the waits-for builder: held-by-self
+        # still runs (and faults as a re-acquire) rather than blocks
+        return lock is None or self.locks.is_free_for(lock, thread.name)
 
     def runnable_threads(self):
         """Names of runnable threads, in canonical program order."""
+        # thread_runnable inlined: this runs once per scheduler pick
         threads = self.threads
-        return [name for name in self._thread_order
-                if self.thread_runnable(threads[name])]
+        acquire_lock = self._acquire_lock
+        is_free_for = self.locks.is_free_for
+        runnable = []
+        for name in self._thread_order:
+            thread = threads[name]
+            if thread.status is ThreadStatus.READY:
+                lock = acquire_lock[thread.frames[-1].pc]
+                if lock is None or is_free_for(lock, name):
+                    runnable.append(name)
+        return runnable
 
     def live_threads(self):
         return [t.name for t in self.threads.values() if t.is_live()]
@@ -412,71 +432,79 @@ class Execution:
     def run_chain(self, thread_name, runnable, commit=None, limit=None):
         """Execute one scheduler-atomic chain of ``thread_name``'s blocks.
 
-        Runs superblocks back to back under a single scheduler pick,
-        breaking exactly where the next pick could matter: before an
-        ``ACQUIRE``, right after any sync instruction (so the observer
-        processes it before the next pick), on failure, thread exit, a
-        pending scheduler switch, the ``max_steps`` budget, or after
-        ``limit`` steps (used by the replay engine to stop at checkpoint
-        steps).  Returns one batched :class:`StepEffects` summary whose
-        ``batch`` field counts the executed instructions; ``uses`` /
-        ``defs`` are scratch state with no consumers on this path and
-        are cleared per block.
+        Runs the thread's compiled handlers (:mod:`.closures`) back to
+        back under a single scheduler pick, breaking exactly where the
+        next pick could matter: before an ``ACQUIRE``, right after any
+        sync instruction (so the observer processes it before the next
+        pick), on failure, thread exit, a pending scheduler switch, the
+        ``max_steps`` budget, or after ``limit`` steps (used by the
+        replay engine to stop at checkpoint steps).  Returns one batched
+        :class:`StepEffects` summary: ``thread``, ``step`` and ``pc`` of
+        the chain's start, the ``sync`` that ended it (if any), and
+        ``batch``, the executed instruction count.  The per-instruction
+        fields (``uses`` / ``defs``, branch outcome, call, return,
+        output value) have no consumer on this path and stay unset.
 
         ``commit`` is the scheduler's ``block_commit`` (or None for
         block-granular schedulers): it pre-draws the scheduler's
         per-instruction decisions over each block so interleavings stay
-        byte-identical to instruction mode.
+        byte-identical to instruction mode.  Block-granular schedulers
+        never switch inside a chain, so their chain runs as one stretch
+        up to the next break point without consulting the partition.
         """
         thread = self.threads[thread_name]
-        blocks = self.blocks
-        spans = blocks.span
-        region_work = blocks.region_work
-        instrs = self._instrs
-        dispatch = self._DISPATCH
+        frames = thread.frames
+        handlers = self._closures.handlers
+        flags = self._closures.flags
+        spans = self.blocks.span
+        pop_regions = self._pop_regions
         max_steps = self.max_steps
-        effects = StepEffects(thread=thread_name, step=self.step_count,
-                              pc=thread.pc, op=None)
-        uses, defs = effects.uses, effects.defs
+        # positional: this runs once per chain, and keywords double the
+        # cost of the dataclass constructor
+        effects = StepEffects(thread_name, self.step_count, frames[-1].pc,
+                              None)
         if thread.started_at is None:
             thread.started_at = self.step_count
         first = True
         executed = 0
         while True:
-            frame = thread.current_frame
-            pc = frame.pc
-            count = spans[pc]
-            remaining = max_steps - self.step_count
-            if limit is not None and remaining > limit - executed:
-                remaining = limit - executed
-            if remaining >= 1:
-                if count > remaining:
-                    count = remaining
-            else:
+            count = max_steps - self.step_count
+            if limit is not None and count > limit - executed:
+                count = limit - executed
+            if count < 1:
                 # exhausted budget: mirror the instruction loop, which
                 # always executes one step before its max-steps check
                 count = 1
             pending = False
-            if commit is not None and (count > 1 or not first):
-                self.sched_commits += 1
-                committed = commit(self, runnable, thread_name, count, first)
-                pending = committed < count
-                count = committed
-                if count == 0:
-                    break
-            del uses[:], defs[:]
+            if commit is not None:
+                span = spans[frames[-1].pc]
+                if count > span:
+                    count = span
+                if count > 1 or not first:
+                    self.sched_commits += 1
+                    committed = commit(self, runnable, thread_name, count,
+                                       first)
+                    pending = committed < count
+                    count = committed
+                    if count == 0:
+                        break
+            n = 0
+            stop = False
             try:
-                n = 0
                 while n < count:
-                    frame = thread.current_frame
+                    frame = frames[-1]
                     pc = frame.pc
-                    if region_work[pc]:
-                        self._pop_regions(frame, pc)
-                    instr = instrs[pc]
-                    dispatch[instr.op](self, instr, thread, frame, effects)
+                    flag = flags[pc]
+                    if flag:
+                        if n and flag & AT_ACQUIRE:
+                            break  # pre-acquire pick point
+                        if flag & REGION_WORK:
+                            pop_regions(frame, pc)
+                    stop = handlers[pc](self, thread, frame, effects)
                     self.step_count += 1
-                    thread.instr_count += 1
                     n += 1
+                    if stop:
+                        break
             except RuntimeFault as fault:
                 self.failure = Failure(kind=fault.kind, pc=pc,
                                        thread=thread_name,
@@ -484,21 +512,19 @@ class Execution:
                 self.status = ExecutionStatus.FAILED
                 thread.status = ThreadStatus.FAILED
                 self.step_count += 1
-                thread.instr_count += 1
+                thread.instr_count += n + 1
                 executed += n + 1
                 break
+            thread.instr_count += n
             executed += n
-            first = False
-            if effects.sync is not None:
-                break  # the observer must see the sync before the next pick
-            if (self.status != ExecutionStatus.RUNNING
-                    or thread.status is not ThreadStatus.READY):
+            if commit is None or stop or pending:
                 break
-            if pending or self.step_count >= max_steps:
+            first = False
+            if self.step_count >= max_steps:
                 break
             if limit is not None and executed >= limit:
                 break
-            if instrs[thread.pc].op is Opcode.ACQUIRE:
+            if flags[frames[-1].pc] & AT_ACQUIRE:
                 break  # pre-acquire pick point (may block or redirect)
         effects.batch = executed
         return effects

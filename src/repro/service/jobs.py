@@ -97,12 +97,16 @@ class JobRecord:
     #: spool file the worker streams stage progress into
     progress_path: Optional[str] = None
 
-    def transition(self, state):
-        """Move to ``state``, enforcing the lifecycle machine."""
+    def transition(self, state, now=None):
+        """Move to ``state``, enforcing the lifecycle machine.
+
+        ``now`` stamps the transition (default: the current time).
+        """
         if state not in _TRANSITIONS[self.state]:
             raise JobStateError(self.job_id, self.state, state)
         self.state = state
-        now = time.time()
+        if now is None:
+            now = time.time()
         if state == RUNNING:
             self.started_at = now
         if state in TERMINAL_STATES:

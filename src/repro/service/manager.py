@@ -38,6 +38,7 @@ import json
 import os
 import tempfile
 import threading
+import time
 
 from ..exec.supervisor import Supervisor, policy_from_config
 from ..kb import scenario_fingerprint
@@ -346,12 +347,17 @@ class JobManager:
                 job.transition(FAILED)
                 return
             job.report_json = report_json
-            job.transition(DONE)
-        if self.store is not None:
-            try:
-                self.store.put(job, report_json)
-            except Exception as exc:  # noqa: BLE001 — keep serving from memory
-                job.error = _error_doc("store", type(exc).__name__, str(exc))
+            # store first, then DONE: a client that sees the job done
+            # (status poll, SSE ``end``) may query the store at once
+            now = time.time()
+            if self.store is not None:
+                job.finished_at = now  # the store indexes the finish time
+                try:
+                    self.store.put(job, report_json)
+                except Exception as exc:  # noqa: BLE001 — serve from memory
+                    job.error = _error_doc("store", type(exc).__name__,
+                                           str(exc))
+            job.transition(DONE, now=now)
 
 
 def _error_doc(stage, exc_type, message):

@@ -1,7 +1,5 @@
 """The staged session API: memoization, registries, JSON, batching."""
 
-import warnings
-
 import pytest
 
 from repro.bugs import get_scenario
@@ -12,7 +10,6 @@ from repro.pipeline import (
     ReproductionConfig,
     ReproductionReport,
     SCHEMA_VERSION,
-    reproduce,
     run_many,
 )
 from repro.registry import ALIGNERS, HEURISTICS, SEARCH_STRATEGIES
@@ -135,6 +132,13 @@ class TestRegistries:
         finally:
             SEARCH_STRATEGIES.unregister("chess-lite")
 
+    def test_session_revalidates_config(self, fig1_session):
+        config = ReproductionConfig()
+        config.aligner = "typo"  # mutated after construction
+        with pytest.raises(RegistryError, match="valid choices"):
+            ReproSession(fig1_session.bundle, config=config,
+                         failure_dump=fig1_session.failure_dump)
+
 
 class TestJsonSchema:
     def test_round_trip_preserves_tables(self, fresh_session):
@@ -252,24 +256,3 @@ class TestBatchDriver:
             workers=2).raise_errors()
         plain = run_many(names, workers=2).raise_errors()
         assert self._comparable(nested) == self._comparable(plain)
-
-
-class TestLegacyShim:
-    def test_reproduce_warns_and_matches_session(self, fig1_session):
-        bundle = fig1_session.bundle
-        dump = fig1_session.failure_dump
-        with pytest.warns(DeprecationWarning, match="ReproSession"):
-            legacy = reproduce(bundle, failure_dump=dump)
-        fresh = ReproSession(bundle, failure_dump=dump).report()
-        assert legacy.table3_row() == fresh.table3_row()
-        assert {name: (o.tries, o.reproduced)
-                for name, o in legacy.searches.items()} == \
-            {name: (o.tries, o.reproduced)
-             for name, o in fresh.searches.items()}
-
-    def test_session_revalidates_config(self, fig1_session):
-        config = ReproductionConfig()
-        config.aligner = "typo"  # mutated after construction
-        with pytest.raises(RegistryError, match="valid choices"):
-            ReproSession(fig1_session.bundle, config=config,
-                         failure_dump=fig1_session.failure_dump)

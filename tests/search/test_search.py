@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.pipeline import ProgramBundle, stress_test, reproduce
-from repro.pipeline.reproducer import (
-    ReproductionConfig,
-    run_passing_with_alignment,
-)
+from repro.pipeline import ProgramBundle, stress_test
+from repro.pipeline.config import ReproductionConfig
+from repro.pipeline.session import ReproSession, run_passing_with_alignment
 from repro.indexing import reverse_engineer_index
 from repro.runtime import DeterministicScheduler, global_loc
 from repro.search import (
@@ -146,7 +144,8 @@ class TestChessSearches:
 
     def test_chessx_beats_chess_on_fig1(self, fig1_setup):
         bundle = fig1_setup["bundle"]
-        report = reproduce(bundle, failure_dump=fig1_setup["stress"].dump)
+        report = ReproSession(
+            bundle, failure_dump=fig1_setup["stress"].dump).report()
         chess = report.searches["chess"]
         chessx = report.searches["chessX+dep"]
         assert chess.reproduced and chessx.reproduced
@@ -174,8 +173,8 @@ class TestBaselineAligners:
         config = ReproductionConfig(aligner="instcount",
                                     heuristics=("temporal",),
                                     include_chess=False)
-        report = reproduce(bundle, failure_dump=fig1_setup["stress"].dump,
-                           config=config)
+        report = ReproSession(bundle, config=config,
+                              failure_dump=fig1_setup["stress"].dump).report()
         assert report.alignment is not None
         assert "chessX+temporal" in report.searches
 
@@ -184,6 +183,6 @@ class TestBaselineAligners:
         config = ReproductionConfig(aligner="contextpc",
                                     heuristics=("temporal",),
                                     include_chess=False)
-        report = reproduce(bundle, failure_dump=fig1_setup["stress"].dump,
-                           config=config)
+        report = ReproSession(bundle, config=config,
+                              failure_dump=fig1_setup["stress"].dump).report()
         assert report.alignment is not None

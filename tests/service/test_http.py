@@ -109,6 +109,24 @@ def test_reports_query_endpoint(client):
     assert client.reports(scenario="cache-refill", reproduced=False) == []
 
 
+def test_store_holds_report_once_wait_returns(service, client, monkeypatch):
+    """The report reaches the store before the job reads ``done``: a
+    facet query issued the moment ``wait()`` returns finds the job, even
+    when the store write is slow."""
+    store = service.service.manager.store
+    put = store.put
+
+    def slow_put(job, report_json):
+        time.sleep(0.3)  # far longer than the client's 0.1 s poll
+        return put(job, report_json)
+
+    monkeypatch.setattr(store, "put", slow_put)
+    job_id = client.submit("synth-atom-s0")["job_id"]
+    assert client.wait(job_id, timeout_s=30)["state"] == "done"
+    entries = client.reports(scenario="synth-atom-s0")
+    assert [e["job_id"] for e in entries] == [job_id]
+
+
 def test_error_statuses(service, client):
     with pytest.raises(ServiceError) as exc:
         client.submit("no-such-scenario")

@@ -298,6 +298,21 @@ def test_concurrent_submissions_share_one_supervisor(tmp_path):
         assert manager._supervisor.workers == 2
 
 
+def test_store_error_leaves_job_done_and_served_from_memory(tmp_path):
+    with _manager(tmp_path, store=str(tmp_path / "store")) as manager:
+        def broken_put(job, report_json):
+            raise OSError("disk full")
+
+        manager.store.put = broken_put
+        job, _ = manager.submit("fig1")
+        job = _wait_terminal(manager, job.job_id)
+        assert job.state == DONE
+        assert job.error == {"stage": "store", "exc_type": "OSError",
+                             "message": "disk full"}
+        assert manager.report_json(job.job_id) == _stub_report("fig1")
+        assert manager.store.query(scenario="fig1") == []
+
+
 def test_store_receives_completed_reports(tmp_path):
     with _manager(tmp_path, store=str(tmp_path / "store")) as manager:
         job, _ = manager.submit("fig1")
